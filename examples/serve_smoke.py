@@ -11,22 +11,36 @@ contracts:
 * **Observability** — ``/metrics`` reports the expected scheduler and
   plan-cache counters for the traffic just sent.
 
+With ``--keepalive N`` it then sends one hot (already cached) query N
+times in a row over a single keep-alive connection and fails if the
+client-side p50 reaches 20 ms.  ``urllib`` opens a new connection per
+request, so only this pass sees keep-alive transport stalls such as the
+~40 ms Nagle / delayed-ACK interaction; a healthy server answers a hot
+query in about 2 ms.
+
 Exits non-zero on any mismatch; CI's ``serve-smoke`` job runs exactly
 this against a freshly started server.  Run it yourself::
 
     PYTHONPATH=src python -m repro.cli serve --topology isp \\
         --utilization 0.5 --port 8093 &
     PYTHONPATH=src python examples/serve_smoke.py \\
-        --url http://127.0.0.1:8093 --topology isp --utilization 0.5
+        --url http://127.0.0.1:8093 --topology isp --utilization 0.5 \\
+        --keepalive 50
 """
 
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
+import statistics
 import sys
+import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlsplit
+
+KEEPALIVE_P50_LIMIT_MS = 20.0
 
 
 def _post(url: str, payload: dict) -> tuple[int, bytes]:
@@ -37,6 +51,28 @@ def _post(url: str, payload: dict) -> tuple[int, bytes]:
     )
     with urllib.request.urlopen(request) as response:
         return response.status, response.read()
+
+
+def _keepalive_latencies(
+    url: str, payload: dict, count: int
+) -> list[tuple[float, int, bytes]]:
+    """``count`` sequential POSTs of one body over one connection:
+    ``(client ms, status, response body)`` per request."""
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    body = json.dumps(payload)
+    out = []
+    try:
+        for _ in range(count):
+            started = time.perf_counter()
+            conn.request("POST", "/whatif", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            data = response.read()
+            out.append(((time.perf_counter() - started) * 1e3, response.status, data))
+    finally:
+        conn.close()
+    return out
 
 
 def main(argv=None) -> int:
@@ -51,6 +87,9 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=3,
                         help="times each unique query is issued")
     parser.add_argument("--concurrency", type=int, default=8)
+    parser.add_argument("--keepalive", type=int, default=0, metavar="N",
+                        help="also send one hot query N times over one "
+                             "keep-alive connection and gate its p50")
     args = parser.parse_args(argv)
 
     from repro.scenarios.spec import ScenarioSet, enumerate_scenarios, parse_scenario
@@ -131,7 +170,28 @@ def main(argv=None) -> int:
         f"{len(specs)}-scenario sweep, mismatches={mismatches}, "
         f"sweep_ok={sweep_ok}, counters_ok={counters_ok}"
     )
-    return 0 if (mismatches == 0 and sweep_ok and counters_ok) else 1
+    keepalive_ok = True
+    if args.keepalive > 0:
+        hot = queries[0]  # answered above, so every request is a cache hit
+        timed = _keepalive_latencies(
+            args.url, {"scenario": hot, "session": session_body}, args.keepalive
+        )
+        for _ms, status, body in timed:
+            data = json.loads(body)
+            if status != 200 or canonical_body(
+                {k: v for k, v in data.items() if k != "served"}
+            ) != expected[hot]:
+                keepalive_ok = False
+                print(f"MISMATCH on keep-alive {hot!r}: {status}", file=sys.stderr)
+        p50 = statistics.median(ms for ms, _status, _body in timed)
+        keepalive_ok = keepalive_ok and p50 < KEEPALIVE_P50_LIMIT_MS
+        print(
+            f"keep-alive: {len(timed)} x {hot!r} on one connection, "
+            f"client p50={p50:.2f} ms (limit {KEEPALIVE_P50_LIMIT_MS:.0f} ms), "
+            f"keepalive_ok={keepalive_ok}"
+        )
+    ok = mismatches == 0 and sweep_ok and counters_ok and keepalive_ok
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -393,7 +393,20 @@ def _compile_schedule(
     level; the per-step loop at the end only takes slices.  Stability of
     the level sort keeps the within-level order (row, then
     farthest-first node position) the scalar loop has.
+
+    Node positions with no DAG out-links are dropped first: they pass no
+    flow on, and dividing their flow by a zero out-degree would only
+    make a NaN share that no link receives.  A normal routing has none
+    (every finite node reaches ``dst`` over some DAG link); a routing
+    derived for a node failure keeps a stale finite distance for the
+    failed node, whose out-links are gone.
     """
+    if not count_cat.all():
+        keep = count_cat > 0
+        node_cat, level_cat, count_cat = node_cat[keep], level_cat[keep], count_cat[keep]
+        link_starts, row_cat = link_starts[keep], row_cat[keep]
+        if node_cat.size == 0:
+            return Schedule(k, n, m)
     num_steps = int(level_cat.max()) + 1
     if num_steps < 32000:  # radix-sortable level keys (the usual case)
         by_level = np.argsort(level_cat.astype(np.int16), kind="stable")

@@ -57,6 +57,24 @@ class PlanCache:
             "repro_serve_plan_cache_size", "Entries currently cached."
         )
 
+    def lookup(self, session_key: str, canonical: str) -> Optional[dict]:
+        """The cached payload for a canonical spec, or ``None``.
+
+        The scheduler's fast path: a hit is counted (and refreshed in
+        the LRU order) exactly as :meth:`get_or_compute` counts it; a
+        miss is *not* counted, because the caller then submits the query
+        to the dispatcher, whose :meth:`get_or_compute` counts it.  Each
+        query is thus one lookup: a hit or a miss, never both.
+        """
+        key = (session_key, canonical)
+        with self._lock:
+            entry = self._store.get(key)
+            if entry is None:
+                return None
+            self._store.move_to_end(key)
+            self._hits.inc()
+            return entry
+
     def get_or_compute(
         self,
         session_key: str,
@@ -76,15 +94,13 @@ class PlanCache:
             ``(payload, hit)`` — ``hit`` feeds the request log and the
             scheduler's counters.
         """
-        key = (session_key, canonical)
+        entry = self.lookup(session_key, canonical)
+        if entry is not None:
+            return entry, True
         with self._lock:
-            entry = self._store.get(key)
-            if entry is not None:
-                self._store.move_to_end(key)
-                self._hits.inc()
-                return entry, True
             self._misses.inc()
         payload = compute()
+        key = (session_key, canonical)
         with self._lock:
             self._store[key] = payload
             self._store.move_to_end(key)

@@ -23,7 +23,9 @@ Error contract: malformed JSON, unknown session-spec fields, malformed
 scenario specs, and unknown scenario kinds answer **400** with
 ``{"error": msg}``, where ``msg`` is the underlying registry/grammar
 message (an unknown kind lists the registered ones, exactly like the
-CLI); unknown paths answer 404; unexpected failures answer 500.  Every
+CLI); a negative, non-integer or over-cap ``Content-Length`` answers
+400 before any body byte is read, and closes the connection; unknown
+paths answer 404; unexpected failures answer 500.  Every
 request — GET and POST alike, through one shared timed respond path —
 appends one line to the JSONL request log (when configured):
 ``{"seq", "method", "path", "status", "ms", "scenario"?, "cache_hit"?}``
@@ -126,6 +128,9 @@ class WhatIfServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     # Connection reuse keeps the closed-loop benchmark's clients cheap.
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a response is one write (see
+    # _respond), so Nagle's algorithm could only ever delay it.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Routing — both verbs share one timed/logged respond path
@@ -137,7 +142,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle("POST")
 
     def _handle(self, method: str) -> None:
-        """The shared request path: route, time, respond, log.
+        """The shared request path: route, time, log, respond.
 
         ``/health`` and ``/metrics`` go through the same perf_counter
         timing and JSONL request-log append as the POST endpoints — a
@@ -162,18 +167,14 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive 500 path
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         elapsed = time.perf_counter() - started
-        self._respond(
-            status,
-            payload,
-            log={
-                "method": method,
-                "path": path,
-                "status": status,
-                "ms": elapsed * 1e3,
-                **extra,
-            },
+        # Log and count before the response leaves: once a client holds
+        # its answer, the request is already in the log and the metrics,
+        # so a client's next request can never be recorded ahead of it.
+        self.server.log_jsonl(
+            {"method": method, "path": path, "status": status, "ms": elapsed * 1e3, **extra}
         )
         self.server.observe_request(method, path, status, elapsed)
+        self._respond(status, payload)
 
     def _route_get(self, path: str, query: str, extra: dict):
         if path == "/health":
@@ -244,9 +245,16 @@ class _Handler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise _BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
+        header = (self.headers.get("Content-Length") or "0").strip()
+        # Digits only: int() would also take "-1", "+5" and "1_0".
+        length = int(header) if header.isascii() and header.isdigit() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body is left unread, so the connection cannot carry
+            # another request: answer, then close it.
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                raise _BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
+            raise _BadRequest(f"invalid Content-Length {header!r}")
         raw = self.rfile.read(length) if length else b"{}"
         try:
             body = json.loads(raw or b"{}")
@@ -256,9 +264,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise _BadRequest("request body must be a JSON object")
         return body
 
-    def _respond(
-        self, status: int, payload, log: Optional[dict] = None
-    ) -> None:
+    def _respond(self, status: int, payload) -> None:
         if isinstance(payload, _TextBody):
             body = payload.text.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
@@ -268,10 +274,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        if log is not None:
-            self.server.log_jsonl(log)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # Headers and body leave in ONE write.  Two writes (headers, then
+        # body) are the pattern where Nagle's algorithm meets the peer's
+        # delayed ACK and a keep-alive client stalls for ~40 ms.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def log_message(self, format: str, *args) -> None:
         """Silence the default stderr access log (JSONL replaces it)."""

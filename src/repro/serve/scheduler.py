@@ -25,7 +25,10 @@ Two properties make this safe:
 
 Callers get a :class:`concurrent.futures.Future` per query; the HTTP
 frontend blocks on it, keeping request threads simple while the
-dispatcher owns all evaluation.
+dispatcher owns all evaluation.  Queries the plan cache already answers
+skip the dispatcher: :meth:`MicroBatchScheduler.submit` resolves them on
+the caller's thread, so repeated queries cost neither the batching
+window nor a wait for the session lock.
 """
 
 from __future__ import annotations
@@ -145,12 +148,23 @@ class MicroBatchScheduler:
         The spec is parsed and canonicalized *here*, on the caller's
         thread, so malformed specs and unknown kinds raise immediately
         (the HTTP layer maps them to 400) and never occupy the batch
-        pipeline.
+        pipeline.  A plan-cache hit is answered here too, with an
+        already-resolved future: it never waits for the batching window
+        or for ``session.lock`` (which a sweep may be holding), and it
+        counts as a query and a cache hit but not as a batch.
         """
         canonical = canonical_spec(scenario)
-        job = _Job(session_key=session_key, session=session, canonical=canonical)
         if self._thread is None:
             raise RuntimeError("scheduler is not running: call start() first")
+        payload = self.cache.lookup(session_key, canonical)
+        if payload is not None:
+            with self._stats_lock:
+                self._queries.inc()
+                self._cache_hits.inc()
+            future: Future = Future()
+            future.set_result((payload, True))
+            return future
+        job = _Job(session_key=session_key, session=session, canonical=canonical)
         self._queue.put(job)
         return job.future
 

@@ -99,6 +99,31 @@ def test_batched_sweep_bit_identical_to_full_evaluator(topology):
     assert result.stats["reused_rows"] > 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_node_failure_sweep_is_warning_free_and_exact(topology):
+    """Every single-node failure, batched, with RuntimeWarnings as errors.
+
+    Derived routings keep a stale finite distance for the failed node,
+    whose out-links are gone; the accumulation schedule must leave such
+    a node out rather than divide its flow by a zero out-degree.
+    """
+    net, high, low, wh, wl = _setup(topology)
+    scenarios = [NodeFailure.single(v) for v in range(net.num_nodes)]
+    result = sweep_scenarios(net, wh, wl, high, low, scenarios, batched=True)
+    assert result.stats["derived_routings"] > 0
+    for outcome in result.outcomes:
+        lowered = outcome.lowered
+        oracle = DualTopologyEvaluator(
+            lowered.network, lowered.high_traffic, lowered.low_traffic,
+            mode=LOAD_MODE,
+        )
+        expected = oracle.evaluate(
+            lowered.project_weights(wh), lowered.project_weights(wl)
+        )
+        _assert_same_load_evaluation(outcome.evaluation, expected)
+
+
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_batched_equals_naive_per_scenario_rebuild(topology):
     """`batched=True` and `batched=False` agree bit for bit, outcome by outcome."""

@@ -10,11 +10,14 @@ also exercises the pool's deterministic-rebuild guarantee.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.serve import (
     sweep_payload,
     whatif_payload,
 )
+from repro.serve.http import MAX_BODY_BYTES
 
 SPEC = SessionSpec(topology="isp", utilization=0.5)
 
@@ -298,8 +302,113 @@ def test_request_log_seq_is_gapless_under_concurrency(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Transport: one write per response, TCP_NODELAY
+# ----------------------------------------------------------------------
+class _CountingSocket:
+    """An accepted socket that records the size of every write on it."""
+
+    def __init__(self, sock: socket.socket, writes: list) -> None:
+        self._sock = sock
+        self._writes = writes
+
+    def sendall(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _CountingServer(WhatIfServer):
+    """Hands each handler a write-counting view of its connection."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.writes: list = []
+        self.accepted: list = []
+
+    def finish_request(self, request, client_address) -> None:
+        self.accepted.append(request)
+        super().finish_request(_CountingSocket(request, self.writes), client_address)
+
+
+@contextmanager
+def _running(srv):
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+
+
+def test_each_response_is_one_write_on_a_nodelay_socket():
+    """Headers and body leave in one write, on one keep-alive connection
+    with TCP_NODELAY set, for JSON and Prometheus bodies, plan-cache hits
+    and misses, and errors."""
+    srv = _CountingServer(("127.0.0.1", 0), ServeService(SPEC))
+    with _running(srv):
+        conn = http.client.HTTPConnection(*srv.server_address, timeout=10)
+        requests = [
+            ("POST", "/whatif", {"scenario": "node:3"}, 200),  # miss
+            ("POST", "/whatif", {"scenario": "node:3"}, 200),  # plan-cache hit
+            ("GET", "/health", None, 200),
+            ("GET", "/metrics", None, 200),
+            ("GET", "/metrics?format=prometheus", None, 200),
+            ("POST", "/whatif", {"scenario": "bogus:1"}, 400),
+            ("GET", "/nope", None, 404),
+        ]
+        for i, (method, path, payload, status) in enumerate(requests, start=1):
+            body = None if payload is None else json.dumps(payload)
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            data = response.read()
+            assert response.status == status, (path, data)
+            assert len(srv.writes) == i, (path, srv.writes)
+            assert srv.writes[-1] > len(data)  # the headers rode along
+        (accepted,) = srv.accepted  # keep-alive held throughout
+        assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        conn.close()
+        assert srv.writes[4] > 4096  # the Prometheus text is no small body
+
+
+# ----------------------------------------------------------------------
 # Error contract
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "length, message",
+    [
+        ("-1", "invalid Content-Length"),
+        ("abc", "invalid Content-Length"),
+        ("+5", "invalid Content-Length"),
+        (str(MAX_BODY_BYTES + 1), "exceeds"),
+    ],
+)
+def test_bad_content_length_is_400_without_reading_the_body(server, length, message):
+    """A keep-alive request with an unusable length is answered at once
+    (no body read, which for -1 would block until the client hangs up),
+    and the connection is closed behind the answer."""
+    request = (
+        "POST /whatif HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {length}\r\nConnection: keep-alive\r\n\r\n"
+    ).encode("ascii")
+    with socket.create_connection(server.server_address, timeout=2) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):  # a timeout here fails the test
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert message in json.loads(body)["error"]
+
+
 def test_unknown_scenario_kind_is_400_with_registry_listing(base_url):
     status, body = _post(base_url, "/whatif", {"scenario": "bogus:1"})
     assert status == 400

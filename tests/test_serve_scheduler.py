@@ -9,8 +9,10 @@ byte for byte, a serial single-threaded reference.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import pytest
 
@@ -62,18 +64,25 @@ def test_malformed_specs_fail_at_submit_time():
 def test_concurrent_queries_are_bit_identical_to_serial(reference):
     session = SPEC.build()
     key = SPEC.key()
-    with MicroBatchScheduler() as scheduler:
-        with ThreadPoolExecutor(max_workers=8) as executor:
-            futures = {
-                (i, q): executor.submit(
-                    lambda q=q: scheduler.submit(key, session, q).result()
-                )
-                for i in range(4)
-                for q in QUERIES
-            }
-            for (_, q), outer in futures.items():
-                payload, _hit = outer.result()
-                assert canonical_body(payload) == reference[q], q
+    interval = sys.getswitchinterval()
+    # Frequent thread switches interleave the submit-time cache path with
+    # the dispatcher's, so a lost counter update would show below.
+    sys.setswitchinterval(1e-5)
+    try:
+        with MicroBatchScheduler() as scheduler:
+            with ThreadPoolExecutor(max_workers=8) as executor:
+                futures = {
+                    (i, q): executor.submit(
+                        lambda q=q: scheduler.submit(key, session, q).result(timeout=30)
+                    )
+                    for i in range(4)
+                    for q in QUERIES
+                }
+                for (_, q), outer in futures.items():
+                    payload, _hit = outer.result(timeout=60)
+                    assert canonical_body(payload) == reference[q], q
+    finally:
+        sys.setswitchinterval(interval)
     stats = scheduler.metrics()
     assert stats["errors"] == 0
     assert stats["queries"] == 4 * len(QUERIES)
@@ -81,6 +90,51 @@ def test_concurrent_queries_are_bit_identical_to_serial(reference):
     assert stats["cache_hits"] >= stats["queries"] - len(set(
         canonical_spec(q) for q in QUERIES
     ))
+    cache = scheduler.cache.metrics()
+    assert cache["hits"] + cache["misses"] == cache["lookups"]
+    # Each query is one plan-cache lookup, on the fast path or the
+    # dispatcher's, never both.
+    assert cache["lookups"] == stats["queries"]
+    assert cache["hits"] == stats["cache_hits"]
+
+
+def _wait_samples(scheduler) -> int:
+    return scheduler.registry.histogram(
+        "repro_serve_scheduler_queue_wait_seconds"
+    ).sample()["count"]
+
+
+def test_cached_spec_answers_without_the_session_lock(reference):
+    """A hot spec resolves at once while the session lock is held; a
+    cold spec waits for the lock."""
+    session = SPEC.build()
+    key = SPEC.key()
+    with MicroBatchScheduler() as scheduler:
+        hot, cold = QUERIES[0], QUERIES[1]
+        scheduler.submit(key, session, hot).result(timeout=10)  # warm it
+        before = scheduler.metrics()
+        waits = _wait_samples(scheduler)
+        with session.lock:  # what a long /sweep does
+            hot_future = scheduler.submit(key, session, hot)
+            assert hot_future.done()
+            payload, hit = hot_future.result(timeout=0)
+            assert hit
+            assert canonical_body(payload) == reference[hot]
+            cold_future = scheduler.submit(key, session, cold)
+            with pytest.raises(FutureTimeout):
+                cold_future.result(timeout=0.3)
+        payload, hit = cold_future.result(timeout=10)
+        assert not hit
+        assert canonical_body(payload) == reference[cold]
+        after = scheduler.metrics()
+    # The fast-path hit is a query and a cache hit, not a batch, and it
+    # leaves no queue-wait sample; the cold query is all of those.
+    assert after["queries"] - before["queries"] == 2
+    assert after["cache_hits"] - before["cache_hits"] == 1
+    assert after["batches"] - before["batches"] == 1
+    assert _wait_samples(scheduler) - waits == 1
+    cache = scheduler.cache.metrics()
+    assert (cache["hits"], cache["misses"], cache["lookups"]) == (1, 2, 3)
 
 
 def test_window_coalesces_a_burst_into_one_batch(reference):
