@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.dtr_search import optimize_dtr
+from repro.api import Session, optimize
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.search_params import SearchParams
 from repro.costs.fortz import fortz_cost
@@ -34,13 +34,22 @@ def _params(**overrides) -> SearchParams:
     return dataclasses.replace(base, **overrides)
 
 
+def _dtr(evaluator: DualTopologyEvaluator, params: SearchParams):
+    return optimize(
+        Session.from_evaluator(evaluator),
+        strategy="dtr",
+        params=params,
+        rng=random.Random(BENCH_SEED),
+    )
+
+
 @pytest.mark.parametrize("tau", [0.0, 1.5, 6.0])
 def test_ablation_tau(benchmark, tau):
     """tau=1.5 balances exploring all links vs focusing on extremes."""
     evaluator = _evaluator()
 
     def run():
-        return optimize_dtr(evaluator, _params(tau=tau), random.Random(BENCH_SEED))
+        return _dtr(evaluator, _params(tau=tau))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\ntau={tau}: objective={result.objective}")
@@ -53,9 +62,7 @@ def test_ablation_neighborhood_size(benchmark, m):
     evaluator = _evaluator()
 
     def run():
-        return optimize_dtr(
-            evaluator, _params(neighborhood_size=m), random.Random(BENCH_SEED)
-        )
+        return _dtr(evaluator, _params(neighborhood_size=m))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\nm={m}: objective={result.objective} evaluations={result.evaluations}")
@@ -68,11 +75,7 @@ def test_ablation_diversification(benchmark, interval):
     evaluator = _evaluator()
 
     def run():
-        return optimize_dtr(
-            evaluator,
-            _params(diversification_interval=interval),
-            random.Random(BENCH_SEED),
-        )
+        return _dtr(evaluator, _params(diversification_interval=interval))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\nM={interval}: objective={result.objective}")

@@ -8,15 +8,32 @@ search on top of each.  Also reports convergence statistics.
 
 import random
 
-from repro.core.annealing import AnnealingParams, anneal_str
-from repro.core.dtr_search import optimize_dtr
+from repro.api import Session, optimize
+from repro.core.annealing import AnnealingParams
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.search_params import SearchParams
-from repro.core.str_search import optimize_str
 from repro.eval.ascii_plot import format_table
 from repro.eval.convergence import trace_from_history
 from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
+
+
+def _local_and_annealed(evaluator: DualTopologyEvaluator, params: SearchParams):
+    """The local-search STR optimum and an annealing run of equal evaluation budget."""
+    local = optimize(
+        Session.from_evaluator(evaluator),
+        strategy="str",
+        params=params,
+        rng=random.Random(BENCH_SEED),
+    )
+    annealed = optimize(
+        Session.from_evaluator(evaluator),
+        strategy="anneal",
+        params=params,
+        annealing_params=AnnealingParams(iterations=max(local.evaluations, 100)),
+        rng=random.Random(BENCH_SEED),
+    )
+    return local, annealed
 
 
 def test_local_search_vs_annealing(benchmark):
@@ -27,14 +44,10 @@ def test_local_search_vs_annealing(benchmark):
     params = SearchParams.scaled(max(BENCH_SCALE, 0.04))
 
     def run():
-        rng = random.Random(BENCH_SEED)
-        local = optimize_str(evaluator, params, rng)
-        budget = AnnealingParams(iterations=max(local.evaluations, 100))
-        annealed = anneal_str(evaluator, budget, params, random.Random(BENCH_SEED))
-        return local, annealed
+        return _local_and_annealed(evaluator, params)
 
     local, annealed = benchmark.pedantic(run, rounds=1, iterations=1)
-    local_trace = trace_from_history(local.history, params.total_iterations())
+    local_trace = trace_from_history(local.cost_trace, params.total_iterations())
     print()
     print(
         format_table(
@@ -50,7 +63,7 @@ def test_local_search_vs_annealing(benchmark):
                     "annealing",
                     annealed.evaluation.phi_high,
                     annealed.evaluation.phi_low,
-                    len(annealed.history) - 1,
+                    len(annealed.cost_trace) - 1,
                 ),
             ],
         )
@@ -67,20 +80,14 @@ def test_dtr_on_top_of_each_seed(benchmark):
     params = SearchParams.scaled(max(BENCH_SCALE, 0.04))
 
     def run():
-        rng = random.Random(BENCH_SEED)
-        local = optimize_str(evaluator, params, rng)
-        annealed = anneal_str(
-            evaluator,
-            AnnealingParams(iterations=max(local.evaluations, 100)),
-            params,
-            random.Random(BENCH_SEED),
-        )
+        local, annealed = _local_and_annealed(evaluator, params)
         results = {}
         for label, seed_weights in (("local", local.weights), ("annealed", annealed.weights)):
-            results[label] = optimize_dtr(
-                evaluator,
-                params,
-                random.Random(BENCH_SEED),
+            results[label] = optimize(
+                Session.from_evaluator(evaluator),
+                strategy="dtr",
+                params=params,
+                rng=random.Random(BENCH_SEED),
                 initial_high=seed_weights,
                 initial_low=seed_weights,
             )

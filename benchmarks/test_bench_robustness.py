@@ -8,12 +8,11 @@ failure.  Reported: baseline, mean, and worst-case class costs.
 
 import random
 
-from repro.core.dtr_search import optimize_dtr
+from repro.api import Session, optimize
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.search_params import SearchParams
-from repro.core.str_search import optimize_str
 from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
-from repro.eval.robustness import failure_sweep
+from repro.eval.robustness import failure_sweep_session
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
 
 
@@ -23,20 +22,22 @@ def test_failure_robustness(benchmark):
     high, low, _ = build_traffic(net, config, random.Random(BENCH_SEED))
     evaluator = DualTopologyEvaluator(net, high, low, mode="load")
     params = SearchParams.scaled(max(BENCH_SCALE, 0.04))
+    session = Session.from_evaluator(evaluator)
     rng = random.Random(BENCH_SEED)
-    str_result = optimize_str(evaluator, params, rng)
-    dtr_result = optimize_dtr(
-        evaluator, params, rng,
+    str_result = optimize(session, strategy="str", params=params, rng=rng)
+    dtr_result = optimize(
+        session, strategy="dtr", params=params, rng=rng,
         initial_high=str_result.weights, initial_low=str_result.weights,
     )
 
+    def sweep(high_weights, low_weights):
+        session = Session(net, high, low, cost_model="load")
+        session.set_weights(high_weights, low_weights)
+        return failure_sweep_session(session)
+
     def sweep_both():
-        str_report = failure_sweep(
-            net, str_result.weights, str_result.weights, high, low
-        )
-        dtr_report = failure_sweep(
-            net, dtr_result.high_weights, dtr_result.low_weights, high, low
-        )
+        str_report = sweep(str_result.weights, str_result.weights)
+        dtr_report = sweep(dtr_result.high_weights, dtr_result.low_weights)
         return str_report, dtr_report
 
     str_report, dtr_report = benchmark.pedantic(sweep_both, rounds=1, iterations=1)

@@ -30,9 +30,10 @@ Quickstart::
     print(session.under_failure((0, 4)).format()) # adjacency failure
     print(session.scaled_traffic(1.2).format())   # 20% traffic growth
 
-See ``docs/api.md`` for the design and the migration guide from the
-legacy free functions (``optimize_str`` et al.), which now delegate
-here.
+Every search has this one entry point and the one result type;
+:class:`OptimizationResult` and :class:`TracePoint` live in
+:mod:`repro.core.result` and are re-exported here.  See ``docs/api.md``
+for the design.
 """
 
 from __future__ import annotations
@@ -60,13 +61,12 @@ from repro.api.registry import (
 from repro.api.session import Session
 from repro.api.strategies import (
     STRATEGIES,
-    OptimizationResult,
     Strategy,
-    TracePoint,
     available_strategies,
     get_strategy,
     register_strategy,
 )
+from repro.core.result import OptimizationResult, TracePoint
 from repro.core.search_params import SearchParams
 
 __all__ = [
@@ -106,8 +106,8 @@ def optimize(
     """Run one registered strategy on a session.
 
     The single entry point behind ``repro-dtr optimize``, the experiment
-    harness, and the legacy free functions.  The result's weight setting
-    is adopted as the session baseline, so subsequent
+    harness, campaigns and :func:`repro.core.alpha_sweep`.  The result's
+    weight setting is adopted as the session baseline, so subsequent
     ``session.what_if(...)`` queries probe around the optimum.
 
     Args:

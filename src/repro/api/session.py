@@ -75,7 +75,7 @@ from repro.routing.weights import weights_key
 from repro.traffic.matrix import TrafficMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.api.strategies import OptimizationResult
+    from repro.core.result import OptimizationResult
     from repro.eval.experiment import ExperimentConfig
     from repro.scenarios.algebra import Scenario
     from repro.scenarios.batch import ScenarioOutcome, SweepEngine, SweepResult
@@ -195,7 +195,7 @@ class Session:
         seed: int = 1,
         cost_model: Optional[CostModelLike] = None,
     ) -> "Session":
-        """Wrap an existing evaluator (the legacy entry points use this).
+        """Wrap an existing evaluator.
 
         The evaluator instance is shared, not copied, so its caches and
         evaluation counters keep working exactly as before.

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.evaluator import DualTopologyEvaluator, Evaluation
+from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.lexicographic import LexCost
 from repro.core.progress import ProgressFn, ProgressTicker
+from repro.core.result import OptimizationResult, TracePoint
 from repro.core.search_params import SearchParams
 from repro.determinism import default_rng
 from repro.routing.incremental import WeightDelta
@@ -57,18 +57,6 @@ class AnnealingParams:
             raise ValueError("moves_per_proposal must be >= 1")
 
 
-@dataclass
-class AnnealingResult:
-    """Outcome of a simulated-annealing run."""
-
-    weights: np.ndarray
-    objective: LexCost
-    evaluation: Evaluation
-    accepted: int = 0
-    rejected: int = 0
-    history: list[tuple[int, LexCost]] = field(default_factory=list)
-
-
 def _acceptance_probability(
     current: LexCost, candidate: LexCost, temperature: float
 ) -> float:
@@ -88,42 +76,6 @@ def _acceptance_probability(
     return math.exp(-increase / max(temperature, 1e-12))
 
 
-def anneal_str(
-    evaluator: DualTopologyEvaluator,
-    params: Optional[AnnealingParams] = None,
-    search_params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
-    initial_weights: Optional[Sequence[int]] = None,
-    progress: Optional[ProgressFn] = None,
-) -> AnnealingResult:
-    """Deprecated entry point: delegates to the ``"anneal"`` strategy.
-
-    Use :func:`repro.api.optimize` with ``strategy="anneal"`` instead;
-    this shim wraps the evaluator in a :class:`repro.api.Session`, routes
-    the call through the strategy registry, and unwraps the legacy
-    :class:`AnnealingResult` — results are identical for a fixed ``rng``.
-    """
-    warnings.warn(
-        "anneal_str is deprecated; use "
-        "repro.api.optimize(session, strategy='anneal')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import optimize as api_optimize
-    from repro.api.session import Session
-
-    result = api_optimize(
-        Session.from_evaluator(evaluator),
-        strategy="anneal",
-        params=search_params,
-        annealing_params=params,
-        rng=rng or default_rng("core/annealing"),
-        initial_weights=initial_weights,
-        progress=progress,
-    )
-    return result.raw
-
-
 def _anneal_str_impl(
     evaluator: DualTopologyEvaluator,
     params: Optional[AnnealingParams] = None,
@@ -131,7 +83,7 @@ def _anneal_str_impl(
     rng: Optional[random.Random] = None,
     initial_weights: Optional[Sequence[int]] = None,
     progress: Optional[ProgressFn] = None,
-) -> AnnealingResult:
+) -> OptimizationResult:
     """Simulated-annealing search for a single (STR) weight vector.
 
     The implementation behind the registered ``"anneal"`` strategy.
@@ -150,7 +102,10 @@ def _anneal_str_impl(
             termination.
 
     Returns:
-        An :class:`AnnealingResult` with the best (not final) state.
+        An :class:`OptimizationResult` (strategy ``"anneal"``) with the
+        best (not final) state; its metadata holds the acceptance counts
+        and the schedule.  ``evaluations`` is left at 0 for the caller to
+        count.
     """
     params = params or AnnealingParams()
     search_params = search_params or SearchParams()
@@ -167,7 +122,7 @@ def _anneal_str_impl(
     current_eval = evaluator.evaluate_str(current)
     best = current.copy()
     best_objective = current_eval.objective
-    history = [(0, best_objective)]
+    history = [TracePoint.of("anneal", 0, best_objective)]
     temperature = params.initial_temperature
     accepted = 0
     rejected = 0
@@ -199,17 +154,24 @@ def _anneal_str_impl(
             if current_eval.objective < best_objective:
                 best = current.copy()
                 best_objective = current_eval.objective
-                history.append((iteration, best_objective))
+                history.append(TracePoint.of("anneal", iteration, best_objective))
         else:
             rejected += 1
         temperature *= params.cooling
 
     ticker.finish("anneal", params.iterations)
-    return AnnealingResult(
-        weights=best,
+    return OptimizationResult(
+        strategy="anneal",
+        high_weights=best,
+        low_weights=best,
         objective=best_objective,
         evaluation=evaluator.evaluate_str(best),
-        accepted=accepted,
-        rejected=rejected,
-        history=history,
+        cost_trace=tuple(history),
+        metadata={
+            "accepted": accepted,
+            "rejected": rejected,
+            "iterations": params.iterations,
+            "initial_temperature": params.initial_temperature,
+            "cooling": params.cooling,
+        },
     )

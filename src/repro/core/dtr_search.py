@@ -12,17 +12,15 @@ randomly perturbing a fraction of weights after ``M`` stale iterations.
 from __future__ import annotations
 
 import random
-import warnings
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.evaluator import DualTopologyEvaluator, Evaluation
-from repro.core.lexicographic import LexCost
+from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.perturbation import perturb_weights
 from repro.core.progress import ProgressFn, ProgressTicker
+from repro.core.result import OptimizationResult, TracePoint
 from repro.core.search_params import SearchParams
 from repro.determinism import default_rng
 from repro.routing.weights import random_weights
@@ -30,27 +28,6 @@ from repro.routing.weights import random_weights
 PHASE_HIGH = "high"
 PHASE_LOW = "low"
 PHASE_REFINE = "refine"
-
-
-@dataclass
-class DtrResult:
-    """Outcome of a DTR search.
-
-    Attributes:
-        high_weights: Best high-priority weight vector ``W_H*``.
-        low_weights: Best low-priority weight vector ``W_L*``.
-        objective: Lexicographic cost of the best setting.
-        evaluation: Full evaluation of the best setting.
-        history: ``(phase, iteration, objective)`` at each improvement.
-        evaluations: Weight settings evaluated during the search.
-    """
-
-    high_weights: np.ndarray
-    low_weights: np.ndarray
-    objective: LexCost
-    evaluation: Evaluation
-    history: list[tuple[str, int, LexCost]] = field(default_factory=list)
-    evaluations: int = 0
 
 
 class _DtrSearch:
@@ -75,9 +52,7 @@ class _DtrSearch:
         self.best_wh = initial_high.copy()
         self.best_wl = initial_low.copy()
         self.best_objective = evaluator.evaluate(self.wh, self.wl).objective
-        self.history: list[tuple[str, int, LexCost]] = [
-            (PHASE_HIGH, 0, self.best_objective)
-        ]
+        self.history = [TracePoint.of(PHASE_HIGH, 0, self.best_objective)]
 
     def _tick(self, phase: str, iteration: int, total: int) -> None:
         """Invoke the progress callback on heartbeat iterations."""
@@ -134,7 +109,7 @@ class _DtrSearch:
                 self.best_objective = objective
                 self.best_wh = self.wh.copy()
                 self.best_wl = self.wl.copy()
-                self.history.append((PHASE_HIGH, iteration, objective))
+                self.history.append(TracePoint.of(PHASE_HIGH, iteration, objective))
                 stale = 0
             else:
                 stale += 1
@@ -157,7 +132,7 @@ class _DtrSearch:
                 best_phi_low = evaluation.phi_low
                 self.best_wl = self.wl.copy()
                 self.best_objective = evaluation.objective
-                self.history.append((PHASE_LOW, iteration, evaluation.objective))
+                self.history.append(TracePoint.of(PHASE_LOW, iteration, evaluation.objective))
                 stale = 0
             else:
                 stale += 1
@@ -180,7 +155,7 @@ class _DtrSearch:
                 self.best_objective = objective
                 self.best_wh = self.wh.copy()
                 self.best_wl = self.wl.copy()
-                self.history.append((PHASE_REFINE, iteration, objective))
+                self.history.append(TracePoint.of(PHASE_REFINE, iteration, objective))
                 stale = 0
             else:
                 stale += 1
@@ -196,42 +171,6 @@ class _DtrSearch:
         )
 
 
-def optimize_dtr(
-    evaluator: DualTopologyEvaluator,
-    params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
-    initial_high: Optional[Sequence[int]] = None,
-    initial_low: Optional[Sequence[int]] = None,
-    progress: Optional[ProgressFn] = None,
-) -> DtrResult:
-    """Deprecated entry point: delegates to the ``"dtr"`` strategy.
-
-    Use :func:`repro.api.optimize` with ``strategy="dtr"`` instead; this
-    shim wraps the evaluator in a :class:`repro.api.Session`, routes the
-    call through the strategy registry, and unwraps the legacy
-    :class:`DtrResult` — results are identical for a fixed ``rng``.
-    """
-    warnings.warn(
-        "optimize_dtr is deprecated; use "
-        "repro.api.optimize(session, strategy='dtr')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import optimize as api_optimize
-    from repro.api.session import Session
-
-    result = api_optimize(
-        Session.from_evaluator(evaluator),
-        strategy="dtr",
-        params=params,
-        rng=rng or default_rng("core/dtr_search"),
-        initial_high=initial_high,
-        initial_low=initial_low,
-        progress=progress,
-    )
-    return result.raw
-
-
 def _optimize_dtr_impl(
     evaluator: DualTopologyEvaluator,
     params: Optional[SearchParams] = None,
@@ -239,7 +178,7 @@ def _optimize_dtr_impl(
     initial_high: Optional[Sequence[int]] = None,
     initial_low: Optional[Sequence[int]] = None,
     progress: Optional[ProgressFn] = None,
-) -> DtrResult:
+) -> OptimizationResult:
     """Search for a dual weight setting minimizing the lexicographic objective.
 
     The implementation behind the registered ``"dtr"`` strategy (the
@@ -260,7 +199,9 @@ def _optimize_dtr_impl(
             ``params.progress_interval`` iterations.
 
     Returns:
-        A :class:`DtrResult`.
+        An :class:`OptimizationResult` (strategy ``"dtr"``) whose
+        ``cost_trace`` phases are ``"high"``/``"low"``/``"refine"``;
+        ``evaluations`` counts the final re-evaluation of the best setting.
     """
     params = params or SearchParams()
     rng = rng or default_rng("core/dtr_search")
@@ -283,11 +224,13 @@ def _optimize_dtr_impl(
     search.routine_low()
     search.routine_refine()
 
-    return DtrResult(
+    return OptimizationResult(
+        strategy="dtr",
         high_weights=search.best_wh,
         low_weights=search.best_wl,
         objective=search.best_objective,
         evaluation=evaluator.evaluate(search.best_wh, search.best_wl),
-        history=search.history,
+        cost_trace=tuple(search.history),
         evaluations=evaluator.evaluations - start_evals,
+        metadata={"seeded": initial_high is not None},
     )

@@ -5,17 +5,16 @@ weighted sum is fragile: too small an ``alpha`` produces priority
 inversions, too large an ``alpha`` adds nothing over the lexicographic
 formulation, and no single value works across configurations.  This
 module makes that argument quantitative at full network scale: it runs
-the same local search as :func:`repro.core.str_search.optimize_str` but
-driven by ``J``, and provides a sweep utility that measures, per alpha,
-the achieved class costs and whether a priority inversion occurred
-relative to the lexicographic solution.
+the same local search as the ``"str"`` strategy but driven by ``J``, and
+provides a sweep utility that measures, per alpha, the achieved class
+costs and whether a priority inversion occurred relative to the
+lexicographic solution.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -25,72 +24,11 @@ from repro.core.lexicographic import LexCost
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.perturbation import perturb_weights
 from repro.core.progress import ProgressFn, ProgressTicker
+from repro.core.result import OptimizationResult, TracePoint
 from repro.core.search_params import SearchParams
 from repro.costs.load_cost import LoadCostEvaluation
 from repro.determinism import default_rng
 from repro.routing.weights import random_weights
-
-
-@dataclass
-class JointResult:
-    """Outcome of a joint-cost STR search for one alpha.
-
-    Attributes:
-        alpha: The trade-off multiplier used.
-        weights: Best weight vector found.
-        joint_cost: Best ``J`` value.
-        phi_high: High-priority cost of the best weights.
-        phi_low: Low-priority cost of the best weights.
-        history: ``(iteration, J)`` at each improvement.
-    """
-
-    alpha: float
-    weights: np.ndarray
-    joint_cost: float
-    phi_high: float
-    phi_low: float
-    history: list[tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def lexicographic(self) -> LexCost:
-        """The class costs viewed lexicographically."""
-        return LexCost(self.phi_high, self.phi_low)
-
-
-def optimize_joint(
-    evaluator: DualTopologyEvaluator,
-    alpha: float,
-    params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
-    initial_weights: Optional[Sequence[int]] = None,
-    progress: Optional[ProgressFn] = None,
-) -> JointResult:
-    """Deprecated entry point: delegates to the ``"joint"`` strategy.
-
-    Use :func:`repro.api.optimize` with ``strategy="joint"`` instead;
-    this shim wraps the evaluator in a :class:`repro.api.Session`, routes
-    the call through the strategy registry, and unwraps the legacy
-    :class:`JointResult` — results are identical for a fixed ``rng``.
-    """
-    warnings.warn(
-        "optimize_joint is deprecated; use "
-        "repro.api.optimize(session, strategy='joint')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import optimize as api_optimize
-    from repro.api.session import Session
-
-    result = api_optimize(
-        Session.from_evaluator(evaluator),
-        strategy="joint",
-        alpha=alpha,
-        params=params,
-        rng=rng or default_rng("core/joint_search"),
-        initial_weights=initial_weights,
-        progress=progress,
-    )
-    return result.raw
 
 
 def _optimize_joint_impl(
@@ -100,7 +38,7 @@ def _optimize_joint_impl(
     rng: Optional[random.Random] = None,
     initial_weights: Optional[Sequence[int]] = None,
     progress: Optional[ProgressFn] = None,
-) -> JointResult:
+) -> OptimizationResult:
     """Search a single weight vector minimizing ``J = alpha*Phi_H + Phi_L``.
 
     The implementation behind the registered ``"joint"`` strategy.
@@ -118,7 +56,12 @@ def _optimize_joint_impl(
             termination.
 
     Returns:
-        A :class:`JointResult`.
+        An :class:`OptimizationResult` (strategy ``"joint"``) whose
+        objective is the lexicographic ``<Phi_H, Phi_L>`` of the best
+        weights, whose ``cost_trace`` records ``(J, 0.0)`` at each
+        improvement, and whose metadata holds ``alpha`` and the best
+        ``joint_cost``.  ``evaluations`` is left at 0 for the caller to
+        count.
 
     Raises:
         ValueError: if the evaluator is not in load mode or alpha < 0.
@@ -144,7 +87,7 @@ def _optimize_joint_impl(
     best_weights = current.copy()
     best_joint = joint(evaluation)
     best_evaluation = evaluation
-    history = [(0, best_joint)]
+    history = [TracePoint("joint", 0, best_joint, 0.0)]
     stale = 0
     ticker = ProgressTicker(progress, params.progress_interval)
     total_iterations = params.total_iterations()
@@ -164,7 +107,7 @@ def _optimize_joint_impl(
             best_joint = joint(evaluation)
             best_weights = current.copy()
             best_evaluation = evaluation
-            history.append((iteration, best_joint))
+            history.append(TracePoint("joint", iteration, best_joint, 0.0))
             stale = 0
         else:
             stale += 1
@@ -180,13 +123,14 @@ def _optimize_joint_impl(
             stale = 0
 
     ticker.finish("joint", total_iterations)
-    return JointResult(
-        alpha=alpha,
-        weights=best_weights,
-        joint_cost=best_joint,
-        phi_high=best_evaluation.phi_high,
-        phi_low=best_evaluation.phi_low,
-        history=history,
+    return OptimizationResult(
+        strategy="joint",
+        high_weights=best_weights,
+        low_weights=best_weights,
+        objective=LexCost(best_evaluation.phi_high, best_evaluation.phi_low),
+        evaluation=evaluator.evaluate_str(best_weights),
+        cost_trace=tuple(history),
+        metadata={"alpha": alpha, "joint_cost": best_joint},
     )
 
 
@@ -210,10 +154,13 @@ def alpha_sweep(
 ) -> list[AlphaSweepPoint]:
     """Optimize ``J`` for each alpha and flag priority inversions.
 
-    A priority inversion is declared when the joint optimum's high-priority
-    cost exceeds the lexicographic reference ``reference_phi_high`` by more
-    than ``inversion_tolerance`` (relative), i.e. the joint cost traded away
-    high-priority performance that the lexicographic objective protects.
+    Each alpha runs the registered ``"joint"`` strategy through
+    :func:`repro.api.optimize`, so a replacement registered under that
+    name is used here too.  A priority inversion is declared when the
+    joint optimum's high-priority cost exceeds the lexicographic
+    reference ``reference_phi_high`` by more than ``inversion_tolerance``
+    (relative), i.e. the joint cost traded away high-priority performance
+    that the lexicographic objective protects.
 
     Args:
         evaluator: Load-mode evaluator.
@@ -226,18 +173,24 @@ def alpha_sweep(
     Returns:
         One :class:`AlphaSweepPoint` per alpha, in input order.
     """
+    from repro.api import Session, optimize
+
     points = []
     for i, alpha in enumerate(alphas):
-        result = _optimize_joint_impl(
-            evaluator, float(alpha), params=params, rng=random.Random(seed + i)
+        result = optimize(
+            Session.from_evaluator(evaluator),
+            strategy="joint",
+            params=params,
+            alpha=float(alpha),
+            rng=random.Random(seed + i),
         )
-        inversion = result.phi_high > reference_phi_high * (1.0 + inversion_tolerance)
+        phi_high, phi_low = result.objective.primary, result.objective.secondary
         points.append(
             AlphaSweepPoint(
                 alpha=float(alpha),
-                phi_high=result.phi_high,
-                phi_low=result.phi_low,
-                priority_inversion=inversion,
+                phi_high=phi_high,
+                phi_low=phi_low,
+                priority_inversion=phi_high > reference_phi_high * (1.0 + inversion_tolerance),
             )
         )
     return points

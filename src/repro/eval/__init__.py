@@ -25,7 +25,6 @@ from repro.eval.drift import DriftReport, drift_sweep
 from repro.eval.robustness import (
     RobustnessReport,
     ScenarioRobustnessReport,
-    failure_sweep,
     failure_sweep_session,
     scenario_sweep_session,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "drift_sweep",
     "RobustnessReport",
     "ScenarioRobustnessReport",
-    "failure_sweep",
     "failure_sweep_session",
     "scenario_sweep_session",
 ]

@@ -1,9 +1,9 @@
-"""Convergence analysis of search histories.
+"""Convergence analysis of search cost traces.
 
-Both searches record ``(iteration, objective)`` at every improvement;
-these utilities turn those sparse histories into dense best-so-far traces
-and summary statistics — used to compare budgets, ablations, and the
-STR/DTR searches against each other.
+Every search records a :class:`~repro.core.result.TracePoint` at each
+improvement (its ``cost_trace``); these utilities turn those sparse
+traces into dense best-so-far traces and summary statistics — used to
+compare budgets, ablations, and the STR/DTR searches against each other.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.lexicographic import LexCost
+from repro.core.result import TracePoint
 
 
 @dataclass(frozen=True)
@@ -65,41 +66,34 @@ class ConvergenceTrace:
 
 
 def trace_from_history(
-    history: Sequence[tuple], total_iterations: int
+    cost_trace: Sequence[TracePoint], total_iterations: int
 ) -> ConvergenceTrace:
-    """Densify a search history into a best-so-far trace.
+    """Densify a search's ``cost_trace`` into a best-so-far trace.
 
-    Accepts both STR histories (``(iteration, objective)``) and DTR
-    histories (``(phase, iteration, objective)``); DTR phase-local
-    iterations are concatenated in phase order.
+    Phase-local iterations are concatenated in phase order: at each
+    phase change (DTR's ``high`` -> ``low`` -> ``refine``) the iteration
+    offset grows by the last iteration recorded in the previous phase.
+    A single-phase trace (STR, joint, anneal) keeps its iterations.
 
     Args:
-        history: Improvement events as recorded by the searches.
+        cost_trace: Improvement events, an
+            :attr:`~repro.core.result.OptimizationResult.cost_trace`.
         total_iterations: Length of the iteration axis.
 
     Returns:
         A :class:`ConvergenceTrace` of ``total_iterations + 1`` samples.
 
     Raises:
-        ValueError: on an empty history.
+        ValueError: on an empty trace.
     """
-    if not history:
-        raise ValueError("history must contain at least the initial objective")
+    if not cost_trace:
+        raise ValueError("cost_trace must contain at least the initial objective")
     events = []
     offset = 0
-    last_phase = None
-    last_iter = 0
-    for entry in history:
-        if len(entry) == 3:
-            phase, iteration, objective = entry
-            if phase != last_phase and last_phase is not None:
-                offset += last_iter
-            last_phase = phase
-            last_iter = iteration
-            events.append((offset + iteration, objective))
-        else:
-            iteration, objective = entry
-            events.append((iteration, objective))
+    for previous, point in zip((None, *cost_trace), cost_trace):
+        if previous is not None and point.phase != previous.phase:
+            offset += previous.iteration
+        events.append((offset + point.iteration, point.objective))
     events.sort(key=lambda e: e[0])
 
     iterations = tuple(range(total_iterations + 1))

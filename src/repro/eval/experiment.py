@@ -6,12 +6,11 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from repro.core.dtr_search import DtrResult
 from repro.determinism import derive_rng as _derive_rng
 from repro.core.evaluator import LOAD_MODE, SLA_MODE, DualTopologyEvaluator, Evaluation
 from repro.core.progress import ProgressFn
+from repro.core.result import OptimizationResult
 from repro.core.search_params import SearchParams
-from repro.core.str_search import StrResult
 from repro.costs.sla import SlaParams
 from repro.eval.metrics import safe_ratio
 from repro.network.graph import Network
@@ -82,12 +81,13 @@ class ComparisonResult:
     """Outcome of one STR-vs-DTR comparison.
 
     ``ratio_high`` and ``ratio_low`` are the paper's ``R_H`` and ``R_L``:
-    STR cost divided by DTR cost, per class.
+    STR cost divided by DTR cost, per class.  ``str_result.relaxed``
+    holds the relaxed STR solutions ``relaxed_ratio_low`` reads.
     """
 
     config: ExperimentConfig
-    str_result: StrResult
-    dtr_result: DtrResult
+    str_result: OptimizationResult
+    dtr_result: OptimizationResult
     str_evaluation: Evaluation
     dtr_evaluation: Evaluation
     high_traffic: TrafficMatrix
@@ -221,8 +221,8 @@ def run_comparison(
     )
     return ComparisonResult(
         config=config,
-        str_result=str_result.raw,
-        dtr_result=dtr_result.raw,
+        str_result=str_result,
+        dtr_result=dtr_result,
         str_evaluation=str_result.evaluation,
         dtr_evaluation=dtr_result.evaluation,
         high_traffic=session.high_traffic,

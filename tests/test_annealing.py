@@ -5,11 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.annealing import (
-    AnnealingParams,
-    _acceptance_probability,
-    anneal_str,
-)
+from repro.api import Session, optimize
+from repro.core.annealing import AnnealingParams, _acceptance_probability
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.lexicographic import LexCost
 from repro.routing.weights import unit_weights
@@ -21,6 +18,16 @@ FAST = AnnealingParams(iterations=200, initial_temperature=0.3, cooling=0.99)
 def evaluator(isp_net, small_traffic):
     high, low = small_traffic
     return DualTopologyEvaluator(isp_net, high, low, mode="load")
+
+
+def run_anneal(evaluator, schedule, **options):
+    """The ``"anneal"`` strategy on a session sharing ``evaluator``."""
+    return optimize(
+        Session.from_evaluator(evaluator),
+        strategy="anneal",
+        annealing_params=schedule,
+        **options,
+    )
 
 
 class TestParams:
@@ -58,33 +65,33 @@ class TestAcceptance:
 class TestAnnealStr:
     def test_improves_over_initial(self, evaluator):
         initial = unit_weights(evaluator.network.num_links)
-        result = anneal_str(
+        result = run_anneal(
             evaluator, FAST, rng=random.Random(1), initial_weights=initial
         )
         assert result.objective <= evaluator.evaluate_str(initial).objective
 
     def test_result_consistency(self, evaluator):
-        result = anneal_str(evaluator, FAST, rng=random.Random(2))
+        result = run_anneal(evaluator, FAST, rng=random.Random(2))
         assert evaluator.evaluate_str(result.weights).objective == result.objective
         assert result.evaluation.objective == result.objective
 
     def test_counters(self, evaluator):
-        result = anneal_str(evaluator, FAST, rng=random.Random(3))
-        assert result.accepted + result.rejected == FAST.iterations
+        result = run_anneal(evaluator, FAST, rng=random.Random(3))
+        assert result.metadata["accepted"] + result.metadata["rejected"] == FAST.iterations
 
     def test_history_monotone(self, evaluator):
-        result = anneal_str(evaluator, FAST, rng=random.Random(4))
-        objectives = [o for _, o in result.history]
+        result = run_anneal(evaluator, FAST, rng=random.Random(4))
+        objectives = [point.objective for point in result.cost_trace]
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
     def test_weights_in_range(self, evaluator):
-        result = anneal_str(evaluator, FAST, rng=random.Random(5))
+        result = run_anneal(evaluator, FAST, rng=random.Random(5))
         assert np.all(result.weights >= 1)
         assert np.all(result.weights <= 30)
 
     def test_deterministic(self, evaluator):
-        a = anneal_str(evaluator, FAST, rng=random.Random(42))
-        b = anneal_str(evaluator, FAST, rng=random.Random(42))
+        a = run_anneal(evaluator, FAST, rng=random.Random(42))
+        b = run_anneal(evaluator, FAST, rng=random.Random(42))
         assert a.objective == b.objective
         np.testing.assert_array_equal(a.weights, b.weights)
 
@@ -92,7 +99,7 @@ class TestAnnealStr:
         """Accepted states can only match or improve the primary cost."""
         initial = unit_weights(evaluator.network.num_links)
         start = evaluator.evaluate_str(initial)
-        result = anneal_str(
+        result = run_anneal(
             evaluator, FAST, rng=random.Random(6), initial_weights=initial
         )
         assert result.evaluation.phi_high <= start.phi_high + 1e-9

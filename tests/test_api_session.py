@@ -188,21 +188,19 @@ class TestWhatIf:
 
 
 class TestUnderFailure:
-    def test_matches_legacy_failure_sweep(self, baseline_session):
-        from repro.eval.robustness import failure_sweep, failure_sweep_session
+    def test_matches_fresh_session_sweep(self, baseline_session):
+        from repro.eval.robustness import failure_sweep_session
 
         session = baseline_session
         via_session = failure_sweep_session(session)
-        legacy = failure_sweep(
-            session.network,
-            session.high_weights,
-            session.low_weights,
-            session.high_traffic,
-            session.low_traffic,
+        fresh = Session(
+            session.network, session.high_traffic, session.low_traffic, cost_model="load"
         )
-        assert via_session.baseline == legacy.baseline
-        assert via_session.outcomes == legacy.outcomes
-        assert via_session.skipped_disconnecting == legacy.skipped_disconnecting
+        fresh.set_weights(session.high_weights, session.low_weights)
+        expected = failure_sweep_session(fresh)
+        assert via_session.baseline == expected.baseline
+        assert via_session.outcomes == expected.outcomes
+        assert via_session.disconnected_count == expected.disconnected_count
 
     def test_intact_query_has_zero_deltas(self, baseline_session):
         result = baseline_session.under_failure(None)

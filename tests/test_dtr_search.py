@@ -5,10 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.dtr_search import PHASE_HIGH, PHASE_LOW, PHASE_REFINE, optimize_dtr
+from repro.api import Session, optimize
+from repro.core.dtr_search import PHASE_HIGH, PHASE_LOW, PHASE_REFINE
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.search_params import SearchParams
-from repro.core.str_search import optimize_str
 from repro.routing.weights import unit_weights
 
 FAST = SearchParams(
@@ -22,23 +22,34 @@ def evaluator(isp_net, small_traffic):
     return DualTopologyEvaluator(isp_net, high, low, mode="load")
 
 
+def run(strategy, evaluator, params, rng, **options):
+    """One registered strategy on a session sharing ``evaluator``."""
+    return optimize(
+        Session.from_evaluator(evaluator), strategy=strategy, params=params, rng=rng, **options
+    )
+
+
+def run_dtr(evaluator, params, rng, **options):
+    return run("dtr", evaluator, params, rng, **options)
+
+
 def test_improves_over_initial(evaluator):
     initial = unit_weights(evaluator.network.num_links)
-    result = optimize_dtr(
+    result = run_dtr(
         evaluator, FAST, random.Random(1), initial_high=initial, initial_low=initial
     )
     assert result.objective <= evaluator.evaluate(initial, initial).objective
 
 
 def test_result_consistency(evaluator):
-    result = optimize_dtr(evaluator, FAST, random.Random(2))
+    result = run_dtr(evaluator, FAST, random.Random(2))
     recomputed = evaluator.evaluate(result.high_weights, result.low_weights)
     assert recomputed.objective == result.objective
     assert result.evaluation.objective == result.objective
 
 
 def test_weights_in_range(evaluator):
-    result = optimize_dtr(evaluator, FAST, random.Random(3))
+    result = run_dtr(evaluator, FAST, random.Random(3))
     for weights in (result.high_weights, result.low_weights):
         assert np.all(weights >= 1)
         assert np.all(weights <= 30)
@@ -47,8 +58,8 @@ def test_weights_in_range(evaluator):
 def test_never_worse_than_str_seed(evaluator):
     """Seeding DTR with the STR optimum guarantees R_H, R_L >= 1."""
     rng = random.Random(4)
-    str_result = optimize_str(evaluator, FAST, rng)
-    dtr_result = optimize_dtr(
+    str_result = run("str", evaluator, FAST, rng)
+    dtr_result = run_dtr(
         evaluator,
         FAST,
         rng,
@@ -60,26 +71,26 @@ def test_never_worse_than_str_seed(evaluator):
 
 def test_dual_weights_typically_diverge(evaluator):
     """The point of DTR: the two topologies end up different."""
-    result = optimize_dtr(evaluator, FAST, random.Random(5))
+    result = run_dtr(evaluator, FAST, random.Random(5))
     assert not np.array_equal(result.high_weights, result.low_weights)
 
 
 def test_history_phases_ordered(evaluator):
-    result = optimize_dtr(evaluator, FAST, random.Random(6))
+    result = run_dtr(evaluator, FAST, random.Random(6))
     phase_order = {PHASE_HIGH: 0, PHASE_LOW: 1, PHASE_REFINE: 2}
-    phases = [phase_order[phase] for phase, _, _ in result.history]
+    phases = [phase_order[point.phase] for point in result.cost_trace]
     assert phases == sorted(phases)
 
 
 def test_history_objectives_monotone(evaluator):
-    result = optimize_dtr(evaluator, FAST, random.Random(7))
-    objectives = [obj for _, _, obj in result.history]
+    result = run_dtr(evaluator, FAST, random.Random(7))
+    objectives = [point.objective for point in result.cost_trace]
     assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
 
 def test_deterministic_given_seed(evaluator):
-    a = optimize_dtr(evaluator, FAST, random.Random(42))
-    b = optimize_dtr(evaluator, FAST, random.Random(42))
+    a = run_dtr(evaluator, FAST, random.Random(42))
+    b = run_dtr(evaluator, FAST, random.Random(42))
     assert a.objective == b.objective
     np.testing.assert_array_equal(a.high_weights, b.high_weights)
     np.testing.assert_array_equal(a.low_weights, b.low_weights)
@@ -87,12 +98,12 @@ def test_deterministic_given_seed(evaluator):
 
 def test_initial_low_defaults_to_initial_high(evaluator):
     initial = unit_weights(evaluator.network.num_links)
-    result = optimize_dtr(evaluator, FAST, random.Random(8), initial_high=initial)
+    result = run_dtr(evaluator, FAST, random.Random(8), initial_high=initial)
     assert result.objective <= evaluator.evaluate(initial, initial).objective
 
 
 def test_evaluations_counted(evaluator):
-    result = optimize_dtr(evaluator, FAST, random.Random(9))
+    result = run_dtr(evaluator, FAST, random.Random(9))
     assert result.evaluations > FAST.total_iterations()
 
 
@@ -101,7 +112,7 @@ def test_zero_iteration_budget(evaluator):
         iterations_high=0, iterations_low=0, iterations_refine=0
     )
     initial = unit_weights(evaluator.network.num_links)
-    result = optimize_dtr(
+    result = run_dtr(
         evaluator, params, random.Random(10), initial_high=initial, initial_low=initial
     )
     np.testing.assert_array_equal(result.high_weights, initial)
@@ -112,8 +123,8 @@ def test_sla_mode(isp_net, small_traffic):
     high, low = small_traffic
     evaluator = DualTopologyEvaluator(isp_net, high, low, mode="sla")
     rng = random.Random(11)
-    str_result = optimize_str(evaluator, FAST, rng)
-    result = optimize_dtr(
+    str_result = run("str", evaluator, FAST, rng)
+    result = run_dtr(
         evaluator, FAST, rng,
         initial_high=str_result.weights, initial_low=str_result.weights,
     )
@@ -127,7 +138,7 @@ class TestProgressHook:
             diversification_interval=8, progress_interval=5,
         )
         beats = []
-        optimize_dtr(
+        run_dtr(
             evaluator, params, random.Random(6),
             progress=lambda phase, i, total: beats.append((phase, i, total)),
         )
@@ -135,8 +146,8 @@ class TestProgressHook:
         assert all(i <= total for _, i, total in beats)
 
     def test_callback_does_not_change_trajectory(self, evaluator):
-        plain = optimize_dtr(evaluator, FAST, random.Random(7))
-        observed = optimize_dtr(
+        plain = run_dtr(evaluator, FAST, random.Random(7))
+        observed = run_dtr(
             evaluator, FAST, random.Random(7), progress=lambda *a: None
         )
         assert plain.objective == observed.objective

@@ -9,10 +9,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.dtr_search import optimize_dtr
+from repro.api import Session, optimize
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.search_params import SearchParams
-from repro.core.str_search import optimize_str
 from repro.costs.sla import SlaParams
 from repro.network.topology_isp import isp_topology
 from repro.routing.multi_topology import DualRouting
@@ -28,6 +27,21 @@ PARAMS = SearchParams(
 )
 
 
+def str_then_dtr(evaluator, seed):
+    """STR, then DTR seeded with the STR weights, both on ``evaluator``."""
+    session = Session.from_evaluator(evaluator)
+    str_result = optimize(session, strategy="str", params=PARAMS, rng=random.Random(seed))
+    dtr_result = optimize(
+        session,
+        strategy="dtr",
+        params=PARAMS,
+        rng=random.Random(seed),
+        initial_high=str_result.weights,
+        initial_low=str_result.weights,
+    )
+    return str_result, dtr_result
+
+
 @pytest.fixture(scope="module")
 def pipeline():
     net = isp_topology()
@@ -36,14 +50,7 @@ def pipeline():
     high = random_high_priority(low, density=0.1, fraction=0.3, rng=rng)
     high_tm, low_tm = scale_to_utilization(net, high.matrix, low, 0.65)
     evaluator = DualTopologyEvaluator(net, high_tm, low_tm, mode="load")
-    str_result = optimize_str(evaluator, PARAMS, random.Random(1))
-    dtr_result = optimize_dtr(
-        evaluator,
-        PARAMS,
-        random.Random(1),
-        initial_high=str_result.weights,
-        initial_low=str_result.weights,
-    )
+    str_result, dtr_result = str_then_dtr(evaluator, 1)
     return net, evaluator, str_result, dtr_result
 
 
@@ -90,14 +97,7 @@ def test_sla_relaxation_narrows_gap():
         evaluator = DualTopologyEvaluator(
             net, high_tm, low_tm, mode="sla", sla_params=SlaParams(theta_ms=theta_ms)
         )
-        str_result = optimize_str(evaluator, PARAMS, random.Random(5))
-        dtr_result = optimize_dtr(
-            evaluator,
-            PARAMS,
-            random.Random(5),
-            initial_high=str_result.weights,
-            initial_low=str_result.weights,
-        )
+        str_result, dtr_result = str_then_dtr(evaluator, 5)
         return str_result.evaluation.phi_low / max(dtr_result.evaluation.phi_low, 1e-9)
 
     tight = gap(25.0)
